@@ -615,51 +615,31 @@ func BenchmarkServe_PointSeries(b *testing.B) {
 	})
 }
 
-// BenchmarkServe_FieldF32 is the float32 end-to-end claim at L=64: the
-// `f64-narrow` sub is the old way to produce a float32 field — decode
-// and synthesize in float64, then narrow — and `f32` is the new
-// pipeline that stays float32 from archive band to response buffer.
-// CacheBytes:1 evicts every entry immediately, so each request pays the
-// full decode+synthesis kernel; the acceptance bar is f32 >= 1.5x.
+// BenchmarkServe_FieldF32 measures the f32 wire path at L=64: the
+// float64 field the server caches, narrowed to float32 as writeF32
+// narrows it while encoding, here into one reused buffer. CacheBytes:1
+// evicts every entry immediately, so each request pays the full
+// decode+synthesis kernel.
 func BenchmarkServe_FieldF32(b *testing.B) {
-	newSrv := func(b *testing.B) *exaclim.Server {
-		r := pointBenchReader(b)
-		s, err := exaclim.NewServer(r, nil, exaclim.ServeConfig{CacheBytes: 1})
+	r := pointBenchReader(b)
+	s, err := exaclim.NewServer(r, nil, exaclim.ServeConfig{CacheBytes: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Field(context.Background(), 0, 0, 0); err != nil { // warm the FP16 table and scratch pools
+		b.Fatal(err)
+	}
+	out := make([]float32, r.Header().Grid.Points())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := s.Field(context.Background(), 0, 0, i%pointBenchSteps)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return s
+		for p, v := range data {
+			out[p] = float32(v)
+		}
 	}
-	b.Run("f64-narrow", func(b *testing.B) {
-		s := newSrv(b)
-		if _, err := s.Field(context.Background(), 0, 0, 0); err != nil { // warm plan calibration
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			data, err := s.Field(context.Background(), 0, 0, i%pointBenchSteps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out := make([]float32, len(data))
-			for p, v := range data {
-				out[p] = float32(v)
-			}
-			_ = out
-		}
-	})
-	b.Run("f32", func(b *testing.B) {
-		s := newSrv(b)
-		if _, err := s.FieldF32(context.Background(), 0, 0, 0); err != nil { // warm f32 tables
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.FieldF32(context.Background(), 0, 0, i%pointBenchSteps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkServe_PointBatch is the batched point-evaluation claim: 64

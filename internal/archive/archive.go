@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync"
 
 	"exaclim/internal/half"
 	"exaclim/internal/sht"
@@ -340,8 +341,32 @@ func appendStep(buf []byte, bands []Band, packed []float64) (out []byte, err2, n
 	return buf, err2, norm2
 }
 
+// fp16Vals is the lazily built table of every float16 bit pattern's
+// float64 value (512 KiB). Direct indexing replaces the branchy
+// bit-field conversion in decodeStep's FP16 loop; the table is exact by
+// construction — each entry IS half.Float16(i).Float64() (pinned by
+// TestFP16TableExact). With the table cached, one L=64 step decodes
+// about 2.5x faster than through the conversion; only after every cache
+// level has been flushed is a lone step slower.
+var fp16Vals struct {
+	once sync.Once
+	tab  []float64
+}
+
+func fp16Table() []float64 {
+	fp16Vals.once.Do(func() {
+		tab := make([]float64, 1<<16)
+		for i := range tab {
+			tab[i] = half.Float16(uint16(i)).Float64()
+		}
+		fp16Vals.tab = tab
+	})
+	return fp16Vals.tab
+}
+
 // decodeStep decodes one step record into dst (length L^2).
 func decodeStep(data []byte, bands []Band, dst []float64) error {
+	f16 := fp16Table()
 	off := 0
 	for _, b := range bands {
 		if off+8 > len(data) {
@@ -373,7 +398,7 @@ func decodeStep(data []byte, bands []Band, dst []float64) error {
 				return fmt.Errorf("archive: step record truncated at band %v", b)
 			}
 			for i := 0; i < n; i++ {
-				seg[i] = half.Float16(binary.LittleEndian.Uint16(data[off+2*i:])).Float64() * s
+				seg[i] = f16[binary.LittleEndian.Uint16(data[off+2*i:])] * s
 			}
 			off += 2 * n
 		}

@@ -1,102 +1,24 @@
 package archive
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"sync"
 
-	"exaclim/internal/half"
 	"exaclim/internal/sht"
 	"exaclim/internal/sphere"
-	"exaclim/internal/tile"
 )
 
 // Chunk-granular batch decode: series queries (/v1/point, /v1/points,
 // /v1/box) and replay cursors iterate many consecutive steps that live
 // in the same archive chunk. ReadPackedRange walks a step range one
 // chunk at a time — coordinate checks, chunk bookkeeping and metric
-// events amortize to once per chunk instead of once per step — and
-// decodes through a float16 lookup table that stays hot across the
-// steps of a chunk. Every decoded value is bit-identical to the
-// per-step ReadPacked path (pinned by TestReadPackedRangeMatchesReadPacked).
-
-// fp16Vals is the lazily built table of every float16 bit pattern's
-// float64 value (512 KiB). Direct indexing replaces the branchy
-// bit-field conversion in the batch decode's inner loop; the table is
-// exact by construction — each entry IS half.Float16(i).Float64() — so
-// LUT decode and conversion decode agree bit for bit. It is built only
-// when a batched range decode first runs: single-step decodes keep the
-// arithmetic conversion, whose cache footprint is zero, because a lone
-// step cannot amortize warming half a megabyte of table.
-var fp16Vals struct {
-	once sync.Once
-	tab  []float64
-}
-
-func fp16Table() []float64 {
-	fp16Vals.once.Do(func() {
-		tab := make([]float64, 1<<16)
-		for i := range tab {
-			tab[i] = half.Float16(uint16(i)).Float64()
-		}
-		fp16Vals.tab = tab
-	})
-	return fp16Vals.tab
-}
-
-// decodeStepLUT is decodeStep with the FP16 bands decoded through
-// fp16Table. Identical output, fewer branches per value; used by the
-// batch range path where the table stays cache-resident across steps.
-func decodeStepLUT(data []byte, bands []Band, dst []float64, f16 []float64) error {
-	off := 0
-	for _, b := range bands {
-		if off+8 > len(data) {
-			return fmt.Errorf("archive: step record truncated at band %v", b)
-		}
-		s := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		n := b.Coeffs()
-		seg := dst[b.Lo*b.Lo : b.Hi*b.Hi]
-		switch b.Prec {
-		case tile.FP64:
-			if off+8*n > len(data) {
-				return fmt.Errorf("archive: step record truncated at band %v", b)
-			}
-			for i := 0; i < n; i++ {
-				seg[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8*i:]))
-			}
-			off += 8 * n
-		case tile.FP32:
-			if off+4*n > len(data) {
-				return fmt.Errorf("archive: step record truncated at band %v", b)
-			}
-			for i := 0; i < n; i++ {
-				seg[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off+4*i:]))) * s
-			}
-			off += 4 * n
-		case tile.FP16:
-			if off+2*n > len(data) {
-				return fmt.Errorf("archive: step record truncated at band %v", b)
-			}
-			for i := 0; i < n; i++ {
-				seg[i] = f16[binary.LittleEndian.Uint16(data[off+2*i:])] * s
-			}
-			off += 2 * n
-		}
-	}
-	if off != len(data) {
-		return fmt.Errorf("archive: step record has %d trailing bytes", len(data)-off)
-	}
-	return nil
-}
+// events amortize to once per chunk instead of once per step. It is the
+// cursor's only chunk walk: Series.ReadPacked is a one-step range.
 
 // ReadPackedRange decodes steps [t0, t1) in ascending order, calling fn
 // with each step's packed coefficient vector. Consecutive steps of one
 // chunk are served from a single chunk load with per-chunk (not
 // per-step) bookkeeping, so a same-chunk range is substantially cheaper
-// than t1-t0 ReadPacked calls; the decoded values are bit-identical to
-// ReadPacked's.
+// than t1-t0 ReadPacked calls.
 //
 // Unlike ReadPacked, the vector passed to fn is cursor-owned scratch,
 // valid only for the duration of the call — copy it to retain it. A
@@ -124,13 +46,12 @@ func (s *Series) ReadPackedRange(t0, t1 int, fn func(t int, packed []float64) er
 		s.rangeBuf = make([]float64, s.r.dim)
 	}
 	buf := s.rangeBuf[:s.r.dim]
-	f16 := fp16Table()
 	cs := s.r.h.ChunkSteps
 	for t := t0; t < t1; {
 		k := t / cs
 		if s.chunk != k {
-			// Invalidate before reading, as in record: a failed readChunk
-			// clobbers the reused buffer.
+			// Invalidate before reading: a failed readChunk clobbers the
+			// reused buffer, so the old cache key must not survive it.
 			s.chunk = -1
 			s.observe(MetricChunkMisses, 1)
 			raw, _, ct0, err := s.r.readChunk(s.sid, k, s.buf)
@@ -138,6 +59,9 @@ func (s *Series) ReadPackedRange(t0, t1 int, fn func(t int, packed []float64) er
 				return err
 			}
 			if s.sink != nil {
+				// readChunk reports its byte count to the reader sink only;
+				// mirror it to the cursor sink so per-request attribution
+				// sees the I/O its own chunk misses caused.
 				s.sink.Add(MetricReadBytes, int64(len(raw)))
 			}
 			s.buf, s.t0, s.chunk = raw, ct0, k
@@ -149,7 +73,7 @@ func (s *Series) ReadPackedRange(t0, t1 int, fn func(t int, packed []float64) er
 		steps := int64(end - t)
 		for ; t < end; t++ {
 			rec := payload[(t-s.t0)*s.r.stepB : (t-s.t0+1)*s.r.stepB]
-			if err := decodeStepLUT(rec, s.r.h.Bands, buf, f16); err != nil {
+			if err := decodeStep(rec, s.r.h.Bands, buf); err != nil {
 				return err
 			}
 			if err := fn(t, buf); err != nil {

@@ -10,15 +10,15 @@ import (
 	"exaclim/internal/tile"
 )
 
-// mixedBands is the three-precision layout the batch decode must cover:
-// every branch of decodeStepLUT, including the FP16 lookup table.
+// mixedBands is the three-precision layout the decode tests must cover:
+// every branch of decodeStep, including the FP16 lookup table.
 func mixedBands(L int) []Band {
 	return []Band{{0, 2, tile.FP64}, {2, L / 2, tile.FP32}, {L / 2, L, tile.FP16}}
 }
 
 // TestFP16TableExact pins the lookup table against the arithmetic
 // conversion for every one of the 65536 float16 bit patterns — the
-// invariant that makes LUT decode and per-step decode byte-identical.
+// invariant that makes table decode exact.
 func TestFP16TableExact(t *testing.T) {
 	tab := fp16Table()
 	if len(tab) != 1<<16 {
@@ -33,20 +33,18 @@ func TestFP16TableExact(t *testing.T) {
 	}
 }
 
-// TestReadPackedRangeMatchesReadPacked pins the batch decode against
-// the single-step path bit for bit, over ranges that cover chunk
-// interiors, chunk boundaries, the short final chunk, single steps and
-// the empty range, on a mixed FP64/FP32/FP16 band layout.
+// TestReadPackedRangeMatchesReadPacked pins the cursor's chunk walk
+// against Reader.ReadPacked, which reads through the reader's own shard
+// cache, bit for bit, over ranges that cover chunk interiors, chunk
+// boundaries, the short final chunk, single steps and the empty range,
+// on a mixed FP64/FP32/FP16 band layout.
 func TestReadPackedRangeMatchesReadPacked(t *testing.T) {
 	const L = 8
 	r, h, _ := openTestArchive(t, L, mixedBands(L))
 	want := make([][]float64, h.Steps)
-	ref, err := r.Series(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for tt := 0; tt < h.Steps; tt++ {
-		want[tt], err = ref.ReadPacked(tt, nil)
+		var err error
+		want[tt], err = r.ReadPacked(1, 0, tt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,31 +142,51 @@ func (e errTest) Error() string { return string(e) }
 func TestReadPackedRangeObserves(t *testing.T) {
 	const L = 8
 	r, h, _ := openTestArchive(t, L, mixedBands(L))
-	s, err := r.Series(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &countingSink{m: map[string]int64{}}
-	s.SetObserver(sink)
-	if err := s.ReadPackedRange(0, h.Steps, func(int, []float64) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	// Steps=7 in chunks of 3/3/1: three chunk loads, 7 decodes, and
-	// (3-1)+(3-1)+(1-1) = 4 amortized steps.
-	if got := sink.get(MetricChunkMisses); got != 3 {
-		t.Errorf("chunk misses = %d, want 3", got)
-	}
-	if got := sink.get(MetricChunkHits); got != 0 {
-		t.Errorf("chunk hits = %d, want 0", got)
-	}
-	if got := sink.get(MetricStepDecodes); got != 7 {
-		t.Errorf("step decodes = %d, want 7", got)
-	}
-	if got := sink.get(MetricChunkAmortized); got != 4 {
-		t.Errorf("chunk amortized = %d, want 4", got)
-	}
-	if got := sink.get(MetricReadBytes); got <= 0 {
-		t.Errorf("read bytes = %d, want > 0", got)
+	nop := func(int, []float64) error { return nil }
+	for _, tc := range []struct {
+		name                             string
+		read                             func(s *Series) error
+		misses, hits, decodes, amortized int64
+	}{
+		// Steps=7 in chunks of 3/3/1: three chunk loads, 7 decodes, and
+		// (3-1)+(3-1)+(1-1) = 4 amortized steps.
+		{"full", func(s *Series) error { return s.ReadPackedRange(0, h.Steps, nop) }, 3, 0, 7, 4},
+		// A one-step range is one chunk lookup and one decode.
+		{"one-step", func(s *Series) error { return s.ReadPackedRange(4, 5, nop) }, 1, 0, 1, 0},
+		// ReadPacked is a one-step range: a second step of the same
+		// chunk is a hit on the cursor's chunk.
+		{"read-packed", func(s *Series) error {
+			if _, err := s.ReadPacked(3, nil); err != nil {
+				return err
+			}
+			_, err := s.ReadPacked(5, nil)
+			return err
+		}, 1, 1, 2, 0},
+	} {
+		s, err := r.Series(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &countingSink{m: map[string]int64{}}
+		s.SetObserver(sink)
+		if err := tc.read(s); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := sink.get(MetricChunkMisses); got != tc.misses {
+			t.Errorf("%s: chunk misses = %d, want %d", tc.name, got, tc.misses)
+		}
+		if got := sink.get(MetricChunkHits); got != tc.hits {
+			t.Errorf("%s: chunk hits = %d, want %d", tc.name, got, tc.hits)
+		}
+		if got := sink.get(MetricStepDecodes); got != tc.decodes {
+			t.Errorf("%s: step decodes = %d, want %d", tc.name, got, tc.decodes)
+		}
+		if got := sink.get(MetricChunkAmortized); got != tc.amortized {
+			t.Errorf("%s: chunk amortized = %d, want %d", tc.name, got, tc.amortized)
+		}
+		if got := sink.get(MetricReadBytes); got <= 0 {
+			t.Errorf("%s: read bytes = %d, want > 0", tc.name, got)
+		}
 	}
 }
 

@@ -290,34 +290,6 @@ func (r *Reader) ReadPacked(member, scenario, t int, dst []float64) ([]float64, 
 	return dst, nil
 }
 
-// ReadPackedF32 decodes the packed coefficient vector of step t of
-// (member, scenario) straight to float32, never materializing a float64
-// vector. Archived payloads are at most float32 wide (FP64 bands
-// excepted), so for FP32 and FP16 bands the narrowing loses nothing
-// beyond what quantization already spent; the float64 grid round-trip
-// the serving hot path used to pay is pure overhead this entry point
-// removes. Data is caller-owned, as with ReadPacked.
-func (r *Reader) ReadPackedF32(member, scenario, t int, dst []float32) ([]float32, error) {
-	if err := r.h.checkCoord(member, scenario, t); err != nil {
-		return nil, err
-	}
-	if cap(dst) < r.dim {
-		dst = make([]float32, r.dim)
-	}
-	dst = dst[:r.dim]
-	recp, err := r.fetchRecord(member, scenario, t)
-	if err != nil {
-		return nil, err
-	}
-	err = decodeStepF32((*recp)[:r.stepB], r.h.Bands, dst)
-	r.recPool.Put(recp)
-	if err != nil {
-		return nil, err
-	}
-	r.observe(MetricStepDecodes, 1)
-	return dst, nil
-}
-
 // ReadField reconstructs the field of step t of (member, scenario) by
 // decoding its coefficients and synthesizing on the archive grid.
 func (r *Reader) ReadField(member, scenario, t int) (sphere.Field, error) {
@@ -420,71 +392,22 @@ func (s *Series) Scenario() int { return s.scenario }
 // Steps returns the number of steps in the series.
 func (s *Series) Steps() int { return s.r.h.Steps }
 
-// record returns a view of the raw step record of step t inside the
-// cursor's chunk buffer, loading the right chunk first. The view is
-// valid until the next record call.
-func (s *Series) record(t int) ([]byte, error) {
-	if err := s.r.h.checkCoord(s.member, s.scenario, t); err != nil {
-		return nil, err
-	}
-	k := t / s.r.h.ChunkSteps
-	if s.chunk != k {
-		// Invalidate before reading: a failed readChunk clobbers the
-		// reused buffer, so the old cache key must not survive it.
-		s.chunk = -1
-		s.observe(MetricChunkMisses, 1)
-		raw, _, t0, err := s.r.readChunk(s.sid, k, s.buf)
-		if err != nil {
-			return nil, err
-		}
-		if s.sink != nil {
-			// readChunk reports its byte count to the reader sink only;
-			// mirror it to the cursor sink so per-request attribution sees
-			// the I/O its own chunk misses caused.
-			s.sink.Add(MetricReadBytes, int64(len(raw)))
-		}
-		s.buf, s.t0, s.chunk = raw, t0, k
-	} else {
-		s.observe(MetricChunkHits, 1)
-	}
-	payload := s.buf[chunkHeaderLen : len(s.buf)-4]
-	return payload[(t-s.t0)*s.r.stepB : (t-s.t0+1)*s.r.stepB], nil
-}
-
 // ReadPacked decodes the packed coefficient vector of step t into dst
-// (allocated when too small) and returns it. Like Reader.ReadPacked, the
-// returned data never aliases cursor state.
+// (allocated when too small) and returns it: a one-step ReadPackedRange
+// whose vector is copied out, so like Reader.ReadPacked the returned
+// data never aliases cursor state.
 func (s *Series) ReadPacked(t int, dst []float64) ([]float64, error) {
 	if cap(dst) < s.r.dim {
 		dst = make([]float64, s.r.dim)
 	}
 	dst = dst[:s.r.dim]
-	rec, err := s.record(t)
+	err := s.ReadPackedRange(t, t+1, func(_ int, packed []float64) error {
+		copy(dst, packed)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeStep(rec, s.r.h.Bands, dst); err != nil {
-		return nil, err
-	}
-	s.observe(MetricStepDecodes, 1)
-	return dst, nil
-}
-
-// ReadPackedF32 decodes step t straight to float32 (see
-// Reader.ReadPackedF32). Data never aliases cursor state.
-func (s *Series) ReadPackedF32(t int, dst []float32) ([]float32, error) {
-	if cap(dst) < s.r.dim {
-		dst = make([]float32, s.r.dim)
-	}
-	dst = dst[:s.r.dim]
-	rec, err := s.record(t)
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeStepF32(rec, s.r.h.Bands, dst); err != nil {
-		return nil, err
-	}
-	s.observe(MetricStepDecodes, 1)
 	return dst, nil
 }
 

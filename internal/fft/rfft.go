@@ -103,51 +103,11 @@ func (p *RealPlan) Inverse(dst []float64, spec []complex128) {
 		}
 		return
 	}
-	h := p.n / 2
-	z := p.transformHalf(spec)
-	for j := 0; j < h; j++ {
-		dst[2*j] = real(z[j]) * 0.5
-		dst[2*j+1] = imag(z[j]) * 0.5
-	}
-}
-
-// InverseF32 is Inverse with the output narrowed to float32 in the
-// de-interleave pass itself, for callers that keep float32 grids — it
-// skips the float64 intermediate row a separate narrowing pass would
-// need. Same normalization and contracts as Inverse.
-func (p *RealPlan) InverseF32(dst []float32, spec []complex128) {
-	if len(dst) != p.n || len(spec) != p.SpecLen() {
-		panic(fmt.Sprintf("fft: real inverse size mismatch: dst %d spec %d want %d/%d",
-			len(dst), len(spec), p.n, p.SpecLen()))
-	}
-	if p.full != nil {
-		n := p.n
-		z := p.spec
-		z[0] = complex(real(spec[0]), 0)
-		for k := 1; k <= n/2; k++ {
-			z[k] = spec[k]
-			z[n-k] = complex(real(spec[k]), -imag(spec[k]))
-		}
-		p.full.Inverse(z, z)
-		for j := 0; j < n; j++ {
-			dst[j] = float32(real(z[j]))
-		}
-		return
-	}
-	h := p.n / 2
-	z := p.transformHalf(spec)
-	for j := 0; j < h; j++ {
-		dst[2*j] = float32(real(z[j]) * 0.5)
-		dst[2*j+1] = float32(imag(z[j]) * 0.5)
-	}
-}
-
-// transformHalf repacks X[0..h] into the length-h spectrum of the
-// interleaved sequence — Z[k] = (X[k] + conj(X[h-k])) + i*w[k]*(X[k] -
-// conj(X[h-k])) — and inverts it in place. The inverse of Z is u[j] =
-// x[2j]/2 + i*x[2j+1]/2 under the 1/h normalization of the half plan,
-// hence the halving in the de-interleave passes above.
-func (p *RealPlan) transformHalf(spec []complex128) []complex128 {
+	// Repack X[0..h] into the length-h spectrum of the interleaved
+	// sequence — Z[k] = (X[k] + conj(X[h-k])) + i*w[k]*(X[k] -
+	// conj(X[h-k])) — and invert it in place. The inverse of Z is u[j] =
+	// x[2j]/2 + i*x[2j+1]/2 under the 1/h normalization of the half
+	// plan, hence the halving in the de-interleave.
 	h := p.n / 2
 	z := p.spec
 	for k := 0; k < h; k++ {
@@ -156,5 +116,8 @@ func (p *RealPlan) transformHalf(spec []complex128) []complex128 {
 		z[k] = (a + b) + p.w[k]*(a-b)
 	}
 	p.half.Inverse(z, z)
-	return z
+	for j := 0; j < h; j++ {
+		dst[2*j] = real(z[j]) * 0.5
+		dst[2*j+1] = imag(z[j]) * 0.5
+	}
 }

@@ -1,13 +1,15 @@
 package serve
 
-// Tests for the raw-speed serving paths: the float32 end-to-end field
-// pipeline, the batched multi-point endpoint, gzip response round-trips,
-// and the allocation discipline of the binary field writer.
+// Tests for the raw-speed serving paths: the f32 wire format, the
+// batched multi-point endpoint, gzip response round-trips, and the
+// allocation discipline of the binary field writer.
 
 import (
 	"compress/gzip"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -103,53 +105,77 @@ func TestPointsSeriesLive(t *testing.T) {
 	}
 }
 
-// TestFieldF32Path pins the float32 pipeline's accuracy against the
-// float64 field and the f32 cache's hit behavior. The two pipelines
-// round at different points (f32 decode, f32 Legendre tables), so the
-// bound is float32 working precision relative to the field scale, not
-// bit-identity.
+// TestFieldF32Path pins the f32 wire format as a narrowing of the one
+// float64 pipeline: for an archived and a live scenario, the format=f32
+// body is float32(Field(...)) bit for bit, and a JSON request followed
+// by an f32 request for the same field is one cache miss, one hit and
+// one underlying load.
 func TestFieldF32Path(t *testing.T) {
-	s, _ := testServer(t)
-	want, err := s.Field(context.Background(), 2, 1, 11)
+	model := liveModel(t)
+	r := buildArchive(t, model.Grid, fixL)
+	s, err := New(r, model, Config{
+		CacheBytes: fixCacheCap, LiveScenarios: 1, LiveSteps: 12, BaseSeed: 77,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.FieldF32(context.Background(), 2, 1, 11)
-	if err != nil {
-		t.Fatal(err)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(path string) []byte {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s -> %d", path, resp.StatusCode)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
-	if len(got) != len(want) {
-		t.Fatalf("f32 field has %d points, want %d", len(got), len(want))
-	}
-	scale := 0.0
-	for p := range want {
-		if a := math.Abs(want[p]); a > scale {
-			scale = a
+	for _, c := range []struct {
+		name                string
+		member, scenario, t int
+	}{
+		{"archived", 2, 1, 11},
+		{"live", 1, r.Header().Scenarios, 7},
+	} {
+		before := s.Stats()
+		path := fmt.Sprintf("/v1/field?member=%d&scenario=%d&t=%d", c.member, c.scenario, c.t)
+		get(path)
+		raw := get(path + "&format=f32")
+		st := s.Stats()
+		if d := st.Cache.Misses - before.Cache.Misses; d != 1 {
+			t.Errorf("%s: %d cache misses, want 1", c.name, d)
+		}
+		if d := st.Cache.Hits - before.Cache.Hits; d != 1 {
+			t.Errorf("%s: %d cache hits, want 1", c.name, d)
+		}
+		loads := st.FieldLoads - before.FieldLoads + st.LiveLoads - before.LiveLoads
+		if loads != 1 {
+			t.Errorf("%s: %d underlying loads, want 1", c.name, loads)
+		}
+		if st.CacheF32 != (CacheStats{}) {
+			t.Errorf("%s: CacheF32 %+v, want zero", c.name, st.CacheF32)
+		}
+		want, err := s.Field(context.Background(), c.member, c.scenario, c.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) != 4*len(want) {
+			t.Fatalf("%s: f32 body %d bytes, want %d", c.name, len(raw), 4*len(want))
+		}
+		for p, v := range want {
+			if got, w := binary.LittleEndian.Uint32(raw[4*p:]), math.Float32bits(float32(v)); got != w {
+				t.Fatalf("%s pixel %d: f32 body %x != float32(Field) %x", c.name, p, got, w)
+			}
 		}
 	}
-	for p := range want {
-		if d := math.Abs(float64(got[p]) - want[p]); d > 1e-5*scale {
-			t.Fatalf("pixel %d: f32 %g vs f64 %g (diff %g, scale %g)", p, got[p], want[p], d, scale)
-		}
-	}
-	// Second request is a cache hit on the dedicated f32 cache; the
-	// float64 cache is untouched by the miss+hit pair above beyond its
-	// own single load.
-	again, err := s.FieldF32(context.Background(), 2, 1, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range got {
-		if again[p] != got[p] {
-			t.Fatalf("pixel %d: cache hit %g != first read %g", p, again[p], got[p])
-		}
-	}
-	st := s.Stats()
-	if st.CacheF32.Misses != 1 || st.CacheF32.Hits != 1 {
-		t.Errorf("f32 cache stats %+v, want 1 miss + 1 hit", st.CacheF32)
-	}
-	if st.CacheF32.Bytes != int64(4*len(got)) {
-		t.Errorf("f32 cache holds %d bytes, want %d", st.CacheF32.Bytes, 4*len(got))
+	if st := s.Stats(); st.FieldLoads != 1 {
+		t.Errorf("FieldLoads = %d, want 1 (the archived field)", st.FieldLoads)
 	}
 }
 
@@ -299,16 +325,16 @@ func (d *discardRW) WriteHeader(int)             {}
 
 // TestWriteF32NoGridAlloc pins the satellite fix: the binary field
 // writer encodes through a pooled chunk buffer instead of allocating a
-// grid-sized []byte per request. A 512 KiB field must serve with only
-// header-map noise — far under one grid of bytes.
+// grid-sized []byte per request. A 512 KiB f32 body must serve with
+// only header-map noise — far under one grid of bytes.
 func TestWriteF32NoGridAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector bookkeeping inflates AllocedBytesPerOp")
 	}
 	g := sphere.NewGrid(256, 512)
-	data := make([]float32, g.Points())
+	data := make([]float64, g.Points())
 	for i := range data {
-		data[i] = float32(i)
+		data[i] = float64(i)
 	}
 	req := httptest.NewRequest("GET", "/v1/field?format=f32", nil)
 	w := &discardRW{}

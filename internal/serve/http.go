@@ -322,12 +322,12 @@ var f32ChunkPool = sync.Pool{
 	},
 }
 
-// writeF32 streams data as raw row-major little-endian float32 — the
-// layout raw climate archives typically store; dimensions travel in
-// headers. Values encode through a pooled chunk buffer instead of one
-// grid-sized allocation per request (pinned by the handler alloc test),
-// and compress when the client accepts gzip.
-func writeF32(w http.ResponseWriter, r *http.Request, g sphere.Grid, data []float32) {
+// writeF32 streams data narrowed to raw row-major little-endian float32
+// — the layout raw climate archives typically store; dimensions travel
+// in headers. Values narrow and encode through a pooled chunk buffer
+// instead of one grid-sized allocation per request (pinned by the
+// handler alloc test), and compress when the client accepts gzip.
+func writeF32(w http.ResponseWriter, r *http.Request, g sphere.Grid, data []float64) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Exaclim-NLat", strconv.Itoa(g.NLat))
 	w.Header().Set("X-Exaclim-NLon", strconv.Itoa(g.NLon))
@@ -347,7 +347,7 @@ func writeF32(w http.ResponseWriter, r *http.Request, g sphere.Grid, data []floa
 			n = len(buf) / 4
 		}
 		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(data[off+i]))
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(float32(data[off+i])))
 		}
 		if _, err := body.Write(buf[:4*n]); err != nil {
 			return // client gone; the remaining chunks have no reader
@@ -399,21 +399,14 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	g := s.h.Grid
-	if r.URL.Query().Get("format") == "f32" {
-		// The float32 fast path: decode, synthesis, cache and response
-		// all stay float32 wide; no float64 grid ever exists.
-		data, err := s.FieldF32(r.Context(), member, scenario, t)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeF32(w, r, g, data)
-		return
-	}
 	data, err := s.Field(r.Context(), member, scenario, t)
 	if err != nil {
 		httpError(w, err)
+		return
+	}
+	g := s.h.Grid
+	if r.URL.Query().Get("format") == "f32" {
+		writeF32(w, r, g, data)
 		return
 	}
 	writeJSON(w, r, FieldResponse{

@@ -46,9 +46,9 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// CacheBytes bounds the field caches (default 256 MiB), split
-	// evenly between the float64 cache (JSON consumers) and the float32
-	// cache (the raw f32 serving path).
+	// CacheBytes bounds the field cache (default 256 MiB). JSON and raw
+	// f32 responses share it: fields are cached as float64 and narrowed
+	// to float32 only while an f32 response is encoded.
 	CacheBytes int64
 	// CacheShards is the shard count, rounded up to a power of two
 	// (default 16). More shards means less lock contention across
@@ -157,13 +157,12 @@ func (c Config) withDefaults(h archive.Header) Config {
 // Server answers field, point, box and ensemble-statistics queries over
 // one spectral archive and (optionally) one trained emulator.
 type Server struct {
-	r       *archive.Reader
-	model   *emulator.Model
-	h       archive.Header
-	cfg     Config
-	cache   *fieldCache[float64]
-	cache32 *fieldCache[float32] // f32 serving path: fields that never had f64 consumers
-	plan    *sht.Plan            // shared read-only; each synthesis fans out over cfg.SynthWorkers
+	r     *archive.Reader
+	model *emulator.Model
+	h     archive.Header
+	cfg   Config
+	cache *fieldCache
+	plan  *sht.Plan // shared read-only; each synthesis fans out over cfg.SynthWorkers
 
 	evals *evalCache // point evaluators keyed by quantized (lat, lon)
 
@@ -185,17 +184,16 @@ type Server struct {
 
 // serveScratch is the pooled per-load decode state.
 type serveScratch struct {
-	packed   []float64
-	packed32 []float32
-	coeffs   sht.Coeffs
+	packed []float64
+	coeffs sht.Coeffs
 }
 
 // Stats is a point-in-time snapshot of the server's instrumentation.
 type Stats struct {
-	// Cache is the float64 field cache's counter snapshot.
+	// Cache is the field cache's counter snapshot.
 	Cache CacheStats
-	// CacheF32 is the float32 field cache's counter snapshot (the raw
-	// f32 serving path).
+	// CacheF32 always reads zero: JSON and raw f32 responses now share
+	// Cache. It stays so /v1/info keeps its shape for existing readers.
 	CacheF32 CacheStats
 	// Evals is the point-evaluator cache's counter snapshot.
 	Evals EvalCacheStats
@@ -247,13 +245,12 @@ func New(r *archive.Reader, model *emulator.Model, cfg Config) (*Server, error) 
 		return nil, err
 	}
 	s := &Server{
-		r:       r,
-		model:   model,
-		h:       h,
-		cfg:     cfg,
-		cache:   newFieldCache[float64](cfg.CacheBytes/2, cfg.CacheShards),
-		cache32: newFieldCache[float32](cfg.CacheBytes/2, cfg.CacheShards),
-		evals:   newEvalCache(cfg.EvalCacheEntries),
+		r:     r,
+		model: model,
+		h:     h,
+		cfg:   cfg,
+		cache: newFieldCache(cfg.CacheBytes, cfg.CacheShards),
+		evals: newEvalCache(cfg.EvalCacheEntries),
 		// Each synthesis fans out over at most cfg.SynthWorkers
 		// goroutines (resolved in withDefaults). The cap is deliberate:
 		// requests already fan out across clients, so per-request
@@ -275,9 +272,8 @@ func New(r *archive.Reader, model *emulator.Model, cfg Config) (*Server, error) 
 	s.tracer = newTracer(cfg)
 	s.scratch.New = func() any {
 		return &serveScratch{
-			packed:   make([]float64, h.Dim()),
-			packed32: make([]float32, h.Dim()),
-			coeffs:   sht.NewCoeffs(h.L),
+			packed: make([]float64, h.Dim()),
+			coeffs: sht.NewCoeffs(h.L),
 		}
 	}
 	return s, nil
@@ -307,7 +303,6 @@ func (s *Server) Steps(scenario int) int {
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Cache:      s.cache.stats(),
-		CacheF32:   s.cache32.stats(),
 		Evals:      s.evals.stats(),
 		FieldLoads: s.fieldLoads.Load(),
 		LiveLoads:  s.liveLoads.Load(),
@@ -456,74 +451,6 @@ func (s *Server) loadArchiveField(ctx context.Context, member, scenario, t int) 
 	s.plan.SynthesizeInto(out, sht.UnpackRealInto(sc.coeffs, packed))
 	st.end()
 	return out.Data, nil
-}
-
-// FieldF32 returns the full grid field of (member, scenario, t) as a
-// shared read-only float32 slice — the raw-speed twin of Field. For
-// archived scenarios the whole pipeline stays float32 wide: bands
-// decode straight to a float32 packed vector (archive.ReadPackedF32)
-// and synthesize through the float32 tables (sht.SynthesizeIntoF32),
-// never materializing a float64 grid. Results live in their own cache,
-// so a workload with only f32 consumers stores fields at half the
-// bytes and double the resident entry count.
-func (s *Server) FieldF32(ctx context.Context, member, scenario, t int) ([]float32, error) {
-	if err := s.check(member, scenario, t); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.requests.Add(1)
-	ct := beginStage(ctx, stageCache)
-	defer ct.end()
-	ctx = ct.ctx(ctx)
-	key := cacheKey{live: s.isLive(scenario), member: member, scenario: scenario, t: t}
-	if key.live {
-		// Live fields are emulated in float64 (pixel-space noise and VAR
-		// state are float64-native); the f32 cache stores the narrowed
-		// copy so repeat f32 requests skip both emulation and narrowing.
-		// A captured trace shows the inner f64 fetch as a second,
-		// nested "cache" span — the two caches really are consulted in
-		// sequence on this path.
-		return s.cache32.getOrLoad(ctx, key, func() ([]float32, error) {
-			data, err := s.field(ctx, member, scenario, t)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]float32, len(data))
-			for i, v := range data {
-				out[i] = float32(v)
-			}
-			return out, nil
-		})
-	}
-	return s.cache32.getOrLoad(ctx, key, func() ([]float32, error) {
-		return s.loadArchiveFieldF32(ctx, member, scenario, t)
-	})
-}
-
-// loadArchiveFieldF32 is the uncached float32 archive read: decode the
-// packed coefficients straight to float32 and synthesize through the
-// plan's float32 tables.
-func (s *Server) loadArchiveFieldF32(ctx context.Context, member, scenario, t int) ([]float32, error) {
-	s.fieldLoads.Add(1)
-	sc := s.scratch.Get().(*serveScratch)
-	defer s.scratch.Put(sc)
-	dt := beginStage(ctx, stageDecode)
-	packed, err := s.r.ReadPackedF32(member, scenario, t, sc.packed32)
-	if err != nil {
-		dt.end()
-		return nil, err
-	}
-	dt.attr("coeffs", int64(len(packed)))
-	dt.end()
-	sc.packed32 = packed
-	out := make([]float32, s.h.Grid.Points())
-	st := beginStage(ctx, stageSynthesis)
-	st.attr("block", int64(s.plan.SynthBlock()))
-	s.plan.SynthesizeIntoF32(out, packed)
-	st.end()
-	return out, nil
 }
 
 // loadLiveField emulates (member, scenario) from step 0 through t under

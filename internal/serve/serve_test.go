@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -457,7 +456,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 	}
 
-	// Binary format: float32 row-major with dimension headers.
+	// Binary format: float32 row-major with dimension headers (values
+	// pinned by TestFieldF32Path).
 	resp, err := http.Get(ts.URL + "/v1/field?member=1&scenario=0&t=5&format=f32")
 	if err != nil {
 		t.Fatal(err)
@@ -469,28 +469,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if resp.Header.Get("X-Exaclim-NLat") == "" {
 		t.Error("missing X-Exaclim-NLat header")
-	}
-	// The body is the float32 pipeline's output, bit for bit; against the
-	// float64 field it agrees to float32 working precision (the pipelines
-	// round at different points, so exact equality is not expected).
-	want32, err := s.FieldF32(context.Background(), 1, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scale := 0.0
-	for p := range want {
-		if a := math.Abs(want[p]); a > scale {
-			scale = a
-		}
-	}
-	for p := range want {
-		got := math.Float32frombits(binary.LittleEndian.Uint32(raw[4*p:]))
-		if got != want32[p] {
-			t.Fatalf("f32 pixel %d: %g != FieldF32 %g", p, got, want32[p])
-		}
-		if d := math.Abs(float64(got) - want[p]); d > 1e-5*scale {
-			t.Fatalf("f32 pixel %d: %g vs f64 %g (diff %g)", p, got, want[p], d)
-		}
 	}
 
 	var sr SeriesResponse

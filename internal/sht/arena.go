@@ -19,7 +19,9 @@ import (
 //	   with the retired reference loop to <= 1e-12 relative (the parity
 //	   fold regroups sums, so agreement is to rounding, not bits).
 //	   Output remains bit-deterministic across worker counts.
-const SynthKernelVersion = 2
+//	3: the f32 kernel is retired: f32 responses are float32 of the f64
+//	   synthesis. The pair-block size is fixed instead of calibrated.
+const SynthKernelVersion = 3
 
 // synthScratch is one worker's reusable synthesis state: the fold
 // accumulators, the half-spectrum buffer, and a per-worker clone of the

@@ -19,8 +19,8 @@ import (
 // R/P = 1/Q fraction of the per-point fold work.
 //
 // Concurrency contract: like RingEvaluator, a batch evaluator is a
-// streaming scratch holder — EvalPacked/EvalPackedF32 mutate the fold
-// scratch — so use one per goroutine. Concurrent Eval calls panic.
+// streaming scratch holder — EvalPacked mutates the fold scratch — so
+// use one per goroutine. Concurrent EvalPacked calls panic.
 type PointBatchEvaluator struct {
 	L     int
 	rings []batchRing
@@ -33,7 +33,6 @@ type PointBatchEvaluator struct {
 type batchRing struct {
 	theta float64
 	leg   []float64 // Legendre table at theta, Idx layout
-	leg32 []float32 // float32 mirror for the f32 packed path
 }
 
 // batchLoc is one evaluation location.
@@ -61,13 +60,8 @@ func NewPointBatchEvaluator(L int, thetas, phis []float64) *PointBatchEvaluator 
 		ri, ok := ringOf[theta]
 		if !ok {
 			sinT, cosT := math.Sincos(theta)
-			leg := rec.Eval(cosT, sinT, nil)
-			leg32 := make([]float32, len(leg))
-			for j, v := range leg {
-				leg32[j] = float32(v)
-			}
 			ri = len(e.rings)
-			e.rings = append(e.rings, batchRing{theta: theta, leg: leg, leg32: leg32})
+			e.rings = append(e.rings, batchRing{theta: theta, leg: rec.Eval(cosT, sinT, nil)})
 			ringOf[theta] = ri
 		}
 		// cos/sin(m phi) by the same stable recurrence NewPointEvaluator
@@ -93,13 +87,6 @@ func (e *PointBatchEvaluator) Locations() int { return len(e.locs) }
 // Rings returns the number of distinct colatitudes the batch folds.
 func (e *PointBatchEvaluator) Rings() int { return len(e.rings) }
 
-// evalEnter enforces the non-concurrent contract on the Eval methods.
-func (e *PointBatchEvaluator) evalEnter() {
-	if !e.busy.CompareAndSwap(false, true) {
-		panic("sht: concurrent Eval on a shared PointBatchEvaluator; use one evaluator per goroutine")
-	}
-}
-
 // EvalPacked evaluates the field whose PackReal vector is packed
 // (length L^2) at every location, writing values into dst (allocated
 // when too small) in location order and returning it.
@@ -107,9 +94,14 @@ func (e *PointBatchEvaluator) EvalPacked(dst []float64, packed []float64) []floa
 	if len(packed) != PackDim(e.L) {
 		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.L))
 	}
-	e.evalEnter()
+	if !e.busy.CompareAndSwap(false, true) {
+		panic("sht: concurrent Eval on a shared PointBatchEvaluator; use one evaluator per goroutine")
+	}
 	defer e.busy.Store(false)
-	dst = e.sized(dst)
+	if cap(dst) < len(e.locs) {
+		dst = make([]float64, len(e.locs))
+	}
+	dst = dst[:len(e.locs)]
 	L := e.L
 	inv := 1 / math.Sqrt2
 	fm := e.fm
@@ -133,47 +125,6 @@ func (e *PointBatchEvaluator) EvalPacked(dst []float64, packed []float64) []floa
 	}
 	e.gather(dst)
 	return dst
-}
-
-// EvalPackedF32 is EvalPacked for a float32 packed vector (the layout
-// archive.ReadPackedF32 delivers): float32 tables and input, float64
-// accumulation.
-func (e *PointBatchEvaluator) EvalPackedF32(dst []float64, packed []float32) []float64 {
-	if len(packed) != PackDim(e.L) {
-		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.L))
-	}
-	e.evalEnter()
-	defer e.busy.Store(false)
-	dst = e.sized(dst)
-	L := e.L
-	const inv = 1 / math.Sqrt2
-	fm := e.fm
-	for i := range fm {
-		fm[i] = 0
-	}
-	for l := 0; l < L; l++ {
-		base := l * l
-		tbase := legendre.Idx(l, 0)
-		for ri := range e.rings {
-			leg := e.rings[ri].leg32[tbase : tbase+l+1]
-			f := fm[ri*L : (ri+1)*L]
-			f[0] += complex(float64(leg[0])*float64(packed[base]), 0)
-			for m := 1; m <= l; m++ {
-				p := float64(leg[m]) * inv
-				f[m] += complex(p*float64(packed[base+2*m-1]), p*float64(packed[base+2*m]))
-			}
-		}
-	}
-	e.gather(dst)
-	return dst
-}
-
-// sized returns dst grown to one value per location.
-func (e *PointBatchEvaluator) sized(dst []float64) []float64 {
-	if cap(dst) < len(e.locs) {
-		dst = make([]float64, len(e.locs))
-	}
-	return dst[:len(e.locs)]
 }
 
 // gather evaluates every location from the folded ring spectra:

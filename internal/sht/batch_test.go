@@ -120,34 +120,6 @@ func TestPointBatchLongitudeWraparound(t *testing.T) {
 	}
 }
 
-// TestPointBatchF32 bounds the float32 packed batch path against the
-// float64 batch path.
-func TestPointBatchF32(t *testing.T) {
-	const L = 16
-	grid := sphere.GridForBandLimit(L)
-	rng := rand.New(rand.NewSource(34))
-	c := randomCoeffs(rng, L)
-	packed := c.PackReal(nil)
-	scale := 0.0
-	for _, v := range packed {
-		scale += v * v
-	}
-	scale = math.Sqrt(scale)
-	var thetas, phis []float64
-	for i := 0; i < grid.NLat; i += 2 {
-		thetas = append(thetas, grid.Colatitude(i))
-		phis = append(phis, grid.Longitude(i%grid.NLon))
-	}
-	e := NewPointBatchEvaluator(L, thetas, phis)
-	want := e.EvalPacked(nil, packed)
-	got := e.EvalPackedF32(nil, packedF32(packed))
-	for k := range want {
-		if math.Abs(got[k]-want[k]) > 1e-4*scale {
-			t.Fatalf("loc %d: f32 batch=%g f64 batch=%g", k, got[k], want[k])
-		}
-	}
-}
-
 // TestPointBatchSeries pins EvalSeriesPacked's shape and values against
 // step-by-step EvalPacked (identical code path, so exact equality).
 func TestPointBatchSeries(t *testing.T) {

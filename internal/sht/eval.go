@@ -40,11 +40,6 @@ type PointEvaluator struct {
 	theta   float64
 	phi     float64
 	weights []float64 // len L^2, PackReal layout
-
-	// w32 is the lazily-built float32 mirror of weights for the float32
-	// packed path; built at most a few times under a race (last store
-	// wins, all stores are identical).
-	w32 atomic.Pointer[[]float32]
 }
 
 // NewPointEvaluator builds an evaluator for band limit L at colatitude
@@ -90,32 +85,6 @@ func (e *PointEvaluator) EvalPacked(packed []float64) float64 {
 	sum := 0.0
 	for i, w := range e.weights {
 		sum += w * packed[i]
-	}
-	return sum
-}
-
-// EvalPackedF32 evaluates a float32 packed vector (the layout
-// archive.ReadPackedF32 delivers) at the evaluator's location. The dot
-// product streams float32 weights — half the memory traffic of the
-// float64 path — while accumulating in float64; products of two float32
-// operands are exact in float64, so the only extra error over
-// EvalPacked is the 2^-24 rounding of the weights and inputs.
-func (e *PointEvaluator) EvalPackedF32(packed []float32) float64 {
-	if len(packed) != len(e.weights) {
-		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.L))
-	}
-	wp := e.w32.Load()
-	if wp == nil {
-		w := make([]float32, len(e.weights))
-		for i, v := range e.weights {
-			w[i] = float32(v)
-		}
-		e.w32.Store(&w)
-		wp = &w
-	}
-	sum := 0.0
-	for i, w := range *wp {
-		sum += float64(w) * float64(packed[i])
 	}
 	return sum
 }
@@ -193,9 +162,9 @@ func EvalPoint(c Coeffs, theta, phi float64) float64 {
 // then O(L) per longitude.
 //
 // Concurrency contract: a RingEvaluator is a streaming scratch holder —
-// SetPacked/SetPackedF32 mutate the fold state that EvalLon reads, so
+// SetPacked mutates the fold state that EvalLon reads, so
 // an evaluator must never be shared across goroutines; use one per
-// goroutine. Concurrent Set calls are detected and panic rather than
+// goroutine. Concurrent SetPacked calls are detected and panic rather than
 // silently corrupting the fold (the EvalLon side of a race is not
 // guarded: the guard exists to surface misuse, not to make sharing
 // safe).
@@ -203,7 +172,6 @@ type RingEvaluator struct {
 	L     int
 	theta float64
 	leg   []float64    // Legendre table at theta
-	leg32 []float32    // float32 mirror for the f32 packed path
 	fm    []complex128 // F(m) = sum_l z_lm Ptilde_l^m for the current field
 	busy  atomic.Bool  // trips the non-concurrent contract
 }
@@ -215,24 +183,11 @@ func NewRingEvaluator(L int, theta float64) *RingEvaluator {
 		panic(fmt.Sprintf("sht: invalid band limit %d", L))
 	}
 	sinT, cosT := math.Sincos(theta)
-	leg := legendre.SharedRecur(L).Eval(cosT, sinT, nil)
-	leg32 := make([]float32, len(leg))
-	for i, v := range leg {
-		leg32[i] = float32(v)
-	}
 	return &RingEvaluator{
 		L:     L,
 		theta: theta,
-		leg:   leg,
-		leg32: leg32,
+		leg:   legendre.SharedRecur(L).Eval(cosT, sinT, nil),
 		fm:    make([]complex128, L),
-	}
-}
-
-// setEnter enforces the non-concurrent contract on the Set methods.
-func (e *RingEvaluator) setEnter() {
-	if !e.busy.CompareAndSwap(false, true) {
-		panic("sht: concurrent SetPacked on a shared RingEvaluator; use one evaluator per goroutine")
 	}
 }
 
@@ -244,7 +199,9 @@ func (e *RingEvaluator) SetPacked(packed []float64) {
 	if len(packed) != PackDim(e.L) {
 		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.L))
 	}
-	e.setEnter()
+	if !e.busy.CompareAndSwap(false, true) {
+		panic("sht: concurrent SetPacked on a shared RingEvaluator; use one evaluator per goroutine")
+	}
 	defer e.busy.Store(false)
 	inv := 1 / math.Sqrt2
 	for m := range e.fm {
@@ -256,31 +213,6 @@ func (e *RingEvaluator) SetPacked(packed []float64) {
 		for m := 1; m <= l; m++ {
 			p := e.leg[legendre.Idx(l, m)]
 			e.fm[m] += complex(packed[base+2*m-1]*inv*p, packed[base+2*m]*inv*p)
-		}
-	}
-}
-
-// SetPackedF32 is SetPacked for a float32 packed vector (the layout
-// archive.ReadPackedF32 delivers): the fold streams the float32
-// Legendre mirror and input at half the bandwidth while accumulating
-// F(m) in float64 (float32 products are exact in float64). Same
-// concurrency contract as SetPacked.
-func (e *RingEvaluator) SetPackedF32(packed []float32) {
-	if len(packed) != PackDim(e.L) {
-		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.L))
-	}
-	e.setEnter()
-	defer e.busy.Store(false)
-	const inv = 1 / math.Sqrt2
-	for m := range e.fm {
-		e.fm[m] = 0
-	}
-	for l := 0; l < e.L; l++ {
-		base := l * l
-		e.fm[0] += complex(float64(e.leg32[legendre.Idx(l, 0)])*float64(packed[base]), 0)
-		for m := 1; m <= l; m++ {
-			p := float64(e.leg32[legendre.Idx(l, m)]) * inv
-			e.fm[m] += complex(p*float64(packed[base+2*m-1]), p*float64(packed[base+2*m]))
 		}
 	}
 }

@@ -3,13 +3,11 @@ package sht
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"exaclim/internal/fft"
 	"exaclim/internal/legendre"
 	"exaclim/internal/par"
 	"exaclim/internal/sphere"
-	"exaclim/internal/tile"
 )
 
 // Plan precomputes everything the transform needs for a fixed grid and
@@ -35,26 +33,9 @@ type Plan struct {
 	phase    [4]complex128 // i^-m by m mod 4
 	workers  int
 
-	// f32, calib and arena are synthesis state shared by pointer across
-	// Sequential copies of the plan, so every cursor derived from one
-	// plan reuses a single f32 table build, one calibration run, and one
-	// scratch pool.
-	f32   *f32Tables
-	calib *synthCalib
+	// arena is the synthesis scratch pool, shared by pointer across
+	// Sequential copies so every cursor derived from one plan reuses it.
 	arena *synthArena
-}
-
-// f32Tables is the lazily-built float32 mirror of the per-ring Legendre
-// tables, halving the table traffic of the float32 synthesis path.
-type f32Tables struct {
-	once  sync.Once
-	rings [][]float32
-}
-
-// synthCalib memoizes the one-time ring-block microcalibration.
-type synthCalib struct {
-	once  sync.Once
-	block int
 }
 
 // Option configures a Plan.
@@ -102,8 +83,6 @@ func NewPlan(grid sphere.Grid, L int, opts ...Option) (*Plan, error) {
 		p.iq[q+p.iqOffset] = v
 	}
 	p.phase = [4]complex128{1, complex(0, -1), -1, complex(0, 1)}
-	p.f32 = &f32Tables{}
-	p.calib = &synthCalib{}
 	p.arena = newSynthArena()
 	return p, nil
 }
@@ -265,13 +244,12 @@ func (p *Plan) Synthesize(c Coeffs) sphere.Field {
 //     roughly halving the FFT stage relative to the retired full
 //     complex transform.
 //
-// Pairs are processed in cache-blocked groups of synthBlock() (sized
-// once per plan by tile.PickBlock) with the fold sweeping the
-// coefficient table row-major (l outer, m inner). Blocks fan out via
-// par.ForNWorker with per-worker scratch from the plan's pooled arena;
-// every pair writes disjoint output rings with its own accumulators, so
-// the output is bit-identical for every worker count and block size
-// (pinned by TestSynthesizeParallelDeterministic). Against the retired
+// Pairs are processed in cache-blocked groups of synthBlock pairs with
+// the fold sweeping the coefficient table row-major (l outer, m inner).
+// Blocks fan out via par.ForNWorker with per-worker scratch from the
+// plan's pooled arena; every pair writes disjoint output rings with its
+// own accumulators, so the output is bit-identical for every worker
+// count and block size (pinned by TestSynthesizeParallelDeterministic). Against the retired
 // reference loop the parity fold regroups sums, so agreement is <=
 // 1e-12 relative rather than bit-exact — the kernel-version-2 contract
 // (TestSynthesizeBlockedMatchesReference).
@@ -282,9 +260,13 @@ func (p *Plan) SynthesizeInto(dst sphere.Field, c Coeffs) {
 	if c.L != p.L {
 		panic(fmt.Sprintf("sht: coefficient band limit %d does not match plan %d", c.L, p.L))
 	}
-	nlat := p.Grid.NLat
-	block := p.synthBlock()
-	nPairs := (nlat + 1) / 2
+	p.synthesizeBlocked(dst, c, synthBlock)
+}
+
+// synthesizeBlocked is SynthesizeInto with pair blocks of the given
+// size; tests sweep it to pin block-size invariance.
+func (p *Plan) synthesizeBlocked(dst sphere.Field, c Coeffs, block int) {
+	nPairs := (p.Grid.NLat + 1) / 2
 	nBlocks := (nPairs + block - 1) / block
 	scratch := p.arena.take(par.SpanWorkers(p.workers, nBlocks))
 	defer p.arena.release(scratch)
@@ -356,70 +338,18 @@ func (p *Plan) synthPairs(dst sphere.Field, c Coeffs, sc *synthScratch, p0, p1 i
 	}
 }
 
-// newFmScratch allocates rings x L zeroed fold accumulators backed by
-// one flat slice.
-func newFmScratch(rings, L int) [][]complex128 {
-	flat := make([]complex128, rings*L)
-	fm := make([][]complex128, rings)
-	for i := range fm {
-		fm[i] = flat[i*L : (i+1)*L]
-	}
-	return fm
-}
+// synthBlock is the pair-block size of blocked synthesis: small enough
+// that a block's fold accumulators (two parity rows per pair) stay
+// L1-resident, large enough to amortize the coefficient stream across
+// ring pairs. Pair blocks of 4 to 32 ran within noise of each other at
+// L = 16, 32 and 64, 16 with the lowest or a tied median; every block
+// size computes bit-identical results, so it moves time, never output.
+const synthBlock = 16
 
-// synthBlockCandidates are the pair-block sizes the calibration tries:
-// small enough that a block's fold accumulators (two parity rows per
-// pair) stay L1-resident, large enough to amortize the coefficient
-// stream across ring pairs.
-var synthBlockCandidates = []int{4, 8, 16, 32}
-
-// synthBlock returns the plan's calibrated pair-block size, measuring
-// once per plan (shared across Sequential copies). The workload is the
-// plan's own parity-paired fold on synthetic coefficients — two
-// accumulator rows per pair, exactly the live kernel's footprint — so
-// the choice reflects the real table and accumulator sizes; every
-// candidate computes bit-identical results, so calibration affects time
-// only, never output.
-func (p *Plan) synthBlock() int {
-	p.calib.once.Do(func() {
-		L := p.L
-		c := NewCoeffs(L)
-		for i := range c.C {
-			c.C[i] = complex(1/float64(i+1), -1/float64(2*i+1))
-		}
-		pairs := min((p.Grid.NLat+1)/2, 64)
-		p.calib.block = tile.PickBlock(synthBlockCandidates, 3, func(b int) {
-			for p0 := 0; p0 < pairs; p0 += b {
-				p1 := min(p0+b, pairs)
-				fm := newFmScratch(2*(p1-p0), L)
-				for l := 0; l < L; l++ {
-					base := legendre.Idx(l, 0)
-					row := c.C[base : base+l+1]
-					for pi := p0; pi < p1; pi++ {
-						tbl := p.ringTab[pi][base : base+l+1]
-						even, odd := fm[2*(pi-p0)], fm[2*(pi-p0)+1]
-						if l&1 == 1 {
-							even, odd = odd, even
-						}
-						for m := 0; m <= l; m += 2 {
-							even[m] += row[m] * complex(tbl[m], 0)
-						}
-						for m := 1; m <= l; m += 2 {
-							odd[m] += row[m] * complex(tbl[m], 0)
-						}
-					}
-				}
-			}
-		})
-	})
-	return p.calib.block
-}
-
-// SynthBlock reports the calibrated pair-block size blocked synthesis
-// runs with, triggering the one-time calibration if it has not run yet.
+// SynthBlock reports the pair-block size blocked synthesis runs with.
 // Observability surfaces (trace span attributes) use it to record which
 // tile a synthesis executed under.
-func (p *Plan) SynthBlock() int { return p.synthBlock() }
+func (p *Plan) SynthBlock() int { return synthBlock }
 
 // AnalyzeSeries analyzes a batch of fields in parallel and returns the
 // real-packed coefficient vectors (each of length L^2), the layout the

@@ -42,19 +42,10 @@ func referenceSynthesizeInto(p *Plan, dst sphere.Field, c Coeffs) {
 	}
 }
 
-// forceBlock pins a plan's calibrated pair-block size, bypassing the
-// microcalibration so tests can sweep block sizes deterministically.
-func forceBlock(p *Plan, b int) {
-	p.calib.once.Do(func() { p.calib.block = b })
-	if p.calib.block != b {
-		panic("forceBlock: calibration already ran")
-	}
-}
-
-// TestSynthesizeBlockedMatchesReference pins the kernel-version-2
-// numerical contract: for every block size — including 1
-// (pair-at-a-time), sizes that straddle the pair count, and sizes
-// larger than it — the parity-paired rFFT synthesis agrees with the
+// TestSynthesizeBlockedMatchesReference pins the kernel's numerical
+// contract (unchanged since version 2): for every block size — including
+// 1 (pair-at-a-time), sizes that straddle the pair count, sizes larger
+// than it, and the production synthBlock — the parity-paired rFFT synthesis agrees with the
 // retired full-FFT m-outer loop to <= 1e-12 relative, on both the
 // minimal grid (even nlon, poles included) and an oversampled grid with
 // odd nlat (equator ring is its own mirror) and odd nlon (rFFT
@@ -77,14 +68,13 @@ func TestSynthesizeBlockedMatchesReference(t *testing.T) {
 				referenceSynthesizeInto(ref, want, c)
 			}
 			scale := fieldScale(want)
-			for _, b := range []int{1, 2, 5, 8, 32, grid.NLat + 7} {
-				p, err := NewPlan(grid, L, WithWorkers(2))
-				if err != nil {
-					t.Fatal(err)
-				}
-				forceBlock(p, b)
+			p, err := NewPlan(grid, L, WithWorkers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range []int{1, 2, 5, 8, synthBlock, 32, grid.NLat + 7} {
 				got := sphere.NewField(grid)
-				p.SynthesizeInto(got, c)
+				p.synthesizeBlocked(got, c, b)
 				for i := range got.Data {
 					if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-12*scale {
 						t.Fatalf("L=%d grid=%v block=%d: pixel %d blocked=%g reference=%g (|Δ|=%g, scale %g)",
@@ -96,56 +86,11 @@ func TestSynthesizeBlockedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSynthesizeParallelDeterministic pins the worker-count invariant
-// of the parallel kernel: every ring pair is folded with its own
-// accumulators and written to disjoint output rings, so the output must
-// be bit-identical across worker counts {1, 2, 4} — not merely close —
-// for both precisions.
-func TestSynthesizeParallelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, L := range []int{1, 16, 33} {
-		for _, oversample := range []bool{false, true} {
-			grid := sphere.GridForBandLimit(L)
-			if oversample {
-				grid = sphere.NewGrid(2*L+5, 4*L+3)
-			}
-			c := randomCoeffs(rng, L)
-			p32 := packedF32(c.PackReal(nil))
-			var base sphere.Field
-			var base32 []float32
-			for _, workers := range []int{1, 2, 4} {
-				p, err := NewPlan(grid, L, WithWorkers(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				forceBlock(p, 2) // several blocks even at small L
-				got := sphere.NewField(grid)
-				p.SynthesizeInto(got, c)
-				got32 := make([]float32, grid.Points())
-				p.SynthesizeIntoF32(got32, p32)
-				if workers == 1 {
-					base, base32 = got, got32
-					continue
-				}
-				for i := range got.Data {
-					if got.Data[i] != base.Data[i] {
-						t.Fatalf("L=%d grid=%v workers=%d: pixel %d %x != serial %x",
-							L, grid, workers, i, math.Float64bits(got.Data[i]), math.Float64bits(base.Data[i]))
-					}
-				}
-				for i := range got32 {
-					if got32[i] != base32[i] {
-						t.Fatalf("L=%d grid=%v workers=%d: f32 pixel %d differs from serial", L, grid, workers, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSynthesizeCalibratedMatchesReference runs the real calibration
-// path (no forced block) once, so the microcalibrated production
-// configuration is itself pinned against the reference.
+// TestSynthesizeCalibratedMatchesReference runs the production path
+// (SynthesizeInto, no forced block) once, so the configuration that
+// serves requests is itself pinned against the reference: it must be
+// the fixed synthBlock kernel bit for bit, and agree with the retired
+// m-outer loop to <= 1e-12 relative.
 func TestSynthesizeCalibratedMatchesReference(t *testing.T) {
 	const L = 16
 	grid := sphere.GridForBandLimit(L)
@@ -157,93 +102,56 @@ func TestSynthesizeCalibratedMatchesReference(t *testing.T) {
 	c := randomCoeffs(rng, L)
 	got := sphere.NewField(grid)
 	p.SynthesizeInto(got, c)
-	b := p.synthBlock()
-	found := false
-	for _, cand := range synthBlockCandidates {
-		if b == cand {
-			found = true
-		}
+	if b := p.SynthBlock(); b != synthBlock {
+		t.Fatalf("SynthBlock() = %d, want the fixed block %d", b, synthBlock)
 	}
-	if !found {
-		t.Fatalf("calibrated block %d not among candidates %v", b, synthBlockCandidates)
-	}
+	blocked := sphere.NewField(grid)
+	p.synthesizeBlocked(blocked, c, synthBlock)
 	want := sphere.NewField(grid)
 	referenceSynthesizeInto(p, want, c)
 	scale := fieldScale(want)
 	for i := range got.Data {
+		if got.Data[i] != blocked.Data[i] {
+			t.Fatalf("pixel %d: SynthesizeInto %x != synthesizeBlocked(%d) %x",
+				i, math.Float64bits(got.Data[i]), synthBlock, math.Float64bits(blocked.Data[i]))
+		}
 		if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-12*scale {
-			t.Fatalf("calibrated block %d: pixel %d differs by %g (scale %g)", b, i, d, scale)
+			t.Fatalf("block %d: pixel %d differs by %g (scale %g)", synthBlock, i, d, scale)
 		}
 	}
 }
 
-// packedF32 converts a float64 packed vector to float32.
-func packedF32(packed []float64) []float32 {
-	out := make([]float32, len(packed))
-	for i, v := range packed {
-		out[i] = float32(v)
-	}
-	return out
-}
-
-// TestSynthesizeF32MatchesF64 bounds the float32 end-to-end synthesis
-// against the float64 path on the same coefficients. All accumulation
-// runs in float64 over exactly-representable float32 products, so the
-// error budget is the 2^-24 input rounding amplified by the fold depth
-// — orders of magnitude below the archive's 1e-4 quantization policy
-// that gates what reaches this path in production.
-func TestSynthesizeF32MatchesF64(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, L := range []int{1, 5, 16, 33} {
-		grid := sphere.GridForBandLimit(L)
-		p, err := NewPlan(grid, L)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := randomCoeffs(rng, L)
-		want := p.Synthesize(c)
-		scale := fieldScale(want)
-		packed := c.PackReal(nil)
-		dst := make([]float32, grid.Points())
-		p.SynthesizeIntoF32(dst, packedF32(packed))
-		for i, v := range dst {
-			if d := math.Abs(float64(v) - want.Data[i]); d > 1e-4*scale {
-				t.Fatalf("L=%d pixel %d: f32=%g f64=%g (diff %g, scale %g)",
-					L, i, v, want.Data[i], d, scale)
+// TestSynthesizeParallelDeterministic pins the worker-count invariant
+// of the parallel kernel: every ring pair is folded with its own
+// accumulators and written to disjoint output rings, so the output must
+// be bit-identical across worker counts {1, 2, 4} — not merely close.
+func TestSynthesizeParallelDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, L := range []int{1, 16, 33} {
+		for _, oversample := range []bool{false, true} {
+			grid := sphere.GridForBandLimit(L)
+			if oversample {
+				grid = sphere.NewGrid(2*L+5, 4*L+3)
 			}
-		}
-	}
-}
-
-// TestEvalF32Paths bounds the float32 packed point and ring paths
-// against their float64 counterparts.
-func TestEvalF32Paths(t *testing.T) {
-	const L = 16
-	grid := sphere.GridForBandLimit(L)
-	rng := rand.New(rand.NewSource(24))
-	c := randomCoeffs(rng, L)
-	packed := c.PackReal(nil)
-	p32 := packedF32(packed)
-	scale := 0.0
-	for _, v := range packed {
-		scale += v * v
-	}
-	scale = math.Sqrt(scale)
-	for i := 0; i < grid.NLat; i += 3 {
-		theta := grid.Colatitude(i)
-		rev := NewRingEvaluator(L, theta)
-		rev32 := NewRingEvaluator(L, theta)
-		rev.SetPacked(packed)
-		rev32.SetPackedF32(p32)
-		for j := 0; j < grid.NLon; j += 5 {
-			phi := grid.Longitude(j)
-			ev := NewPointEvaluator(L, theta, phi)
-			want := ev.EvalPacked(packed)
-			if got := ev.EvalPackedF32(p32); math.Abs(got-want) > 1e-4*scale {
-				t.Fatalf("(%d,%d): EvalPackedF32=%g EvalPacked=%g", i, j, got, want)
-			}
-			if got := rev32.EvalLon(phi); math.Abs(got-rev.EvalLon(phi)) > 1e-4*scale {
-				t.Fatalf("(%d,%d): SetPackedF32 ring path %g vs f64 %g", i, j, got, rev.EvalLon(phi))
+			c := randomCoeffs(rng, L)
+			var base sphere.Field
+			for _, workers := range []int{1, 2, 4} {
+				p, err := NewPlan(grid, L, WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := sphere.NewField(grid)
+				p.synthesizeBlocked(got, c, 2) // several blocks even at small L
+				if workers == 1 {
+					base = got
+					continue
+				}
+				for i := range got.Data {
+					if got.Data[i] != base.Data[i] {
+						t.Fatalf("L=%d grid=%v workers=%d: pixel %d %x != serial %x",
+							L, grid, workers, i, math.Float64bits(got.Data[i]), math.Float64bits(base.Data[i]))
+					}
+				}
 			}
 		}
 	}
@@ -281,21 +189,15 @@ func TestEvalPointAllocates(t *testing.T) {
 }
 
 // BenchmarkSHT_BlockedSynthesize measures the blocked synthesis kernel
-// against the historical m-outer reference loop and the float32
-// end-to-end path at serving resolution (L=64). Tracked by the CI
-// bench-trend comparison.
+// against the historical m-outer reference loop at serving resolution
+// (L=64). Tracked by the CI bench-trend comparison.
 func BenchmarkSHT_BlockedSynthesize(b *testing.B) {
 	const L = 64
 	p := benchPlan(b, L)
 	p = p.Sequential() // isolate the kernel from goroutine fan-out
 	rng := rand.New(rand.NewSource(41))
 	c := randomCoeffs(rng, L)
-	packed := c.PackReal(nil)
-	p32 := packedF32(packed)
 	f := sphere.NewField(p.Grid)
-	dst32 := make([]float32, p.Grid.Points())
-	p.synthBlock() // calibrate outside the timed region
-	p.ringTab32()  // build f32 tables outside the timed region
 	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.SynthesizeInto(f, c)
@@ -304,11 +206,6 @@ func BenchmarkSHT_BlockedSynthesize(b *testing.B) {
 	b.Run("ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			referenceSynthesizeInto(p, f, c)
-		}
-	})
-	b.Run("f32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p.SynthesizeIntoF32(dst32, p32)
 		}
 	})
 }
@@ -325,13 +222,11 @@ func BenchmarkSHT_ParallelSynthesize(b *testing.B) {
 	rng := rand.New(rand.NewSource(43))
 	c := randomCoeffs(rng, L)
 	f := sphere.NewField(p.Grid)
-	p.synthBlock() // calibrate outside the timed region
 	serial := p.Sequential()
 	par4, err := NewPlan(p.Grid, L, WithWorkers(4))
 	if err != nil {
 		b.Fatal(err)
 	}
-	par4.calib = p.calib // share the calibrated block
 	par4.arena = p.arena
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
